@@ -19,6 +19,13 @@
 // any NaN bit pattern) or trap kind, plus the final linear memory hash
 // and final global values. Runs that hit the safety-net deadline
 // (TrapInterrupted) are timing-dependent and excluded from comparison.
+//
+// Each run ends with a recycle step: the instance is Released, the
+// module instantiated again on the same engine, and the new instance's
+// post-link memory must hash equal to the first one's. Released
+// memories are recycled by clearing only the granules the executors
+// marked dirty, so this checks the dirty tracking of every store path
+// the generator reaches, in every configuration.
 package difftest
 
 import (
@@ -85,6 +92,12 @@ type Outcome struct {
 	MemPages uint32
 	MemHash  uint64
 	Globals  []uint64
+
+	// RecycleLeak is non-empty when the recycle step found the
+	// re-instantiated module's post-link memory differing from the
+	// first instance's: a released instance's write survived clearing.
+	// It is a failure of its own configuration, whatever the others do.
+	RecycleLeak string
 
 	// Interrupted is true when any call hit TrapInterrupted: the run
 	// crossed the oracle deadline, so the outcome is timing-dependent
@@ -221,7 +234,7 @@ func (o *Oracle) execute(e *engine.Engine, g Generated) Outcome {
 		out.Rejected, out.RejectPhase, out.RejectErr = true, "instantiate", err.Error()
 		return out
 	}
-	defer inst.Release()
+	linkHash := memHash(inst.RT.Memory)
 
 	for _, call := range g.Calls {
 		co := CallOutcome{Export: call.Export}
@@ -248,9 +261,7 @@ func (o *Oracle) execute(e *engine.Engine, g Generated) Outcome {
 
 	ri := inst.RT
 	out.MemPages = ri.Memory.Pages()
-	h := fnv.New64a()
-	h.Write(ri.Memory.Data)
-	out.MemHash = h.Sum64()
+	out.MemHash = memHash(ri.Memory)
 	m := ri.Module
 	for gi, slot := range ri.Globals {
 		t, _, err := m.GlobalTypeAt(uint32(gi))
@@ -259,16 +270,38 @@ func (o *Oracle) execute(e *engine.Engine, g Generated) Outcome {
 		}
 		out.Globals = append(out.Globals, canonBits(t, slot.Bits))
 	}
+
+	inst.Release()
+	again, err := cm.Instantiate()
+	if err != nil {
+		out.RecycleLeak = "re-instantiate: " + err.Error()
+		return out
+	}
+	if h := memHash(again.RT.Memory); h != linkHash {
+		out.RecycleLeak = fmt.Sprintf("post-link memory hash %#x after recycling, %#x before", h, linkHash)
+	}
+	again.Release()
 	return out
 }
 
+func memHash(mem *rt.Memory) uint64 {
+	h := fnv.New64a()
+	h.Write(mem.Data)
+	return h.Sum64()
+}
+
 // Compare finds the first divergence between outs[0] and each other
-// outcome. Outcomes flagged Interrupted never participate.
+// outcome. A configuration whose recycle step failed is a divergence by
+// itself, reported against that configuration alone. Outcomes flagged
+// Interrupted never participate.
 func Compare(outs []EngineOutcome) *Divergence {
 	var base *EngineOutcome
 	for i := range outs {
 		if outs[i].Outcome.Interrupted {
 			continue
+		}
+		if leak := outs[i].Outcome.RecycleLeak; leak != "" {
+			return &Divergence{ConfigA: outs[i].Config, ConfigB: outs[i].Config, Detail: "recycle: " + leak}
 		}
 		if base == nil {
 			base = &outs[i]
@@ -362,6 +395,9 @@ func OutcomeTable(outs []EngineOutcome) string {
 				}
 			}
 			fmt.Fprintf(&sb, " mem=%#x globals=%v", o.MemHash, o.Globals)
+			if o.RecycleLeak != "" {
+				fmt.Fprintf(&sb, " recycle-leak: %s", o.RecycleLeak)
+			}
 		}
 		sb.WriteByte('\n')
 	}

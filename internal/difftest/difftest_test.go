@@ -81,3 +81,17 @@ func TestInvalidModulesAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareReportsRecycleLeak: a recycle-step failure is a divergence
+// of its own configuration even when every configuration agrees on the
+// observable outcome.
+func TestCompareReportsRecycleLeak(t *testing.T) {
+	outs := []EngineOutcome{
+		{Config: "a", Outcome: Outcome{MemHash: 1}},
+		{Config: "b", Outcome: Outcome{MemHash: 1, RecycleLeak: "hash 2, 3"}},
+	}
+	d := Compare(outs)
+	if d == nil || d.ConfigA != "b" || d.ConfigB != "b" {
+		t.Fatalf("Compare = %v, want a recycle divergence of config b", d)
+	}
+}

@@ -175,15 +175,20 @@ type Engine struct {
 	cfg Config
 	// externs is the frozen linker snapshot taken by New.
 	externs map[externKey]rt.Extern
-	// stacks recycles value stacks between instances. Allocating (and,
-	// on reuse, re-zeroing) the multi-megabyte slot and tag arrays is
-	// by far the largest per-instance cost, so a serving loop that
-	// Releases finished instances instantiates in microseconds. Reuse
+	// stacks recycles value stacks between instances, saving the
+	// allocation of the multi-megabyte slot and tag arrays. Reuse
 	// without zeroing is sound: every executor zeroes and tags declared
 	// locals at frame entry, operand slots are written before they are
 	// read (a validation guarantee), and stack walkers only scan live
 	// frame ranges [VFP, SP).
 	stacks sync.Pool
+	// memories recycles owned linear memories between instances: one
+	// *sync.Pool per initial page count (uint32 key). Every pooled
+	// memory is all-zero and tracked from zero, so link skips zeroing a
+	// fresh buffer and Release clears only the granules the instance
+	// wrote. Together with stacks this makes a serving loop that
+	// Releases finished instances instantiate in microseconds.
+	memories sync.Map
 	// compileCalls counts tier compiler invocations (per function, eager
 	// and lazy alike). The cold-start acceptance check is built on it: a
 	// warm disk cache must serve a cold process's first request with
@@ -248,9 +253,13 @@ type Instance struct {
 	Timings Timings
 
 	// released latches the first Release so a double release (including
-	// a racing one) cannot push the same value stack into the engine's
-	// pool twice — two later instantiations would then share a stack.
+	// a racing one) cannot push the same value stack or memory into the
+	// engine's pools twice — two later instantiations would then share
+	// it.
 	released atomic.Bool
+	// memShared records that Linker.DefineInstance exported the memory:
+	// importers alias it, so Release must never recycle it.
+	memShared atomic.Bool
 }
 
 // Instantiate is the single-shot compatibility path: Compile followed
@@ -359,7 +368,7 @@ func (e *Engine) link(m *wasm.Module, infos []validate.FuncInfo) (*Instance, err
 
 	if ri.Memory == nil {
 		if len(m.Memories) > 0 {
-			ri.Memory = rt.NewMemory(m.Memories[0])
+			ri.Memory = e.acquireMemory(m.Memories[0])
 		} else {
 			ri.Memory = &rt.Memory{} // zero-size memory simplifies executors
 		}
@@ -370,8 +379,9 @@ func (e *Engine) link(m *wasm.Module, infos []validate.FuncInfo) (*Instance, err
 			return nil, fmt.Errorf("engine: data segment %d: [%#x, %#x) overflows %d-byte memory",
 				di, d.Offset, end, len(ri.Memory.Data))
 		}
-		// Mark keeps an imported (possibly write-tracked) memory's dirty
-		// accounting sound; it is a no-op on untracked memories.
+		// Mark keeps the dirty accounting sound: an owned memory is
+		// tracked from zero, so Release clears these bytes too, and an
+		// imported one may be tracked by its exporter's pool.
 		ri.Memory.Mark(d.Offset, 0, len(d.Bytes))
 		copy(ri.Memory.Data[d.Offset:], d.Bytes)
 	}
@@ -417,6 +427,28 @@ func (e *Engine) link(m *wasm.Module, infos []validate.FuncInfo) (*Instance, err
 	ctx.Invoke = inst.invoke
 	ri.Ctx = ctx
 	return inst, nil
+}
+
+// acquireMemory returns an all-zero memory of lim.Min pages, tracked
+// from zero: one a released instance recycled when the pool has it,
+// a fresh allocation otherwise.
+func (e *Engine) acquireMemory(lim wasm.Limits) *rt.Memory {
+	mem, _ := e.memPool(lim.Min).Get().(*rt.Memory)
+	if mem == nil {
+		mem = rt.NewMemory(lim)
+	}
+	mem.MaxPages = rt.PageCap(lim)
+	mem.TrackFromZero()
+	return mem
+}
+
+// memPool returns the pool of memories with the given page count.
+func (e *Engine) memPool(pages uint32) *sync.Pool {
+	p, ok := e.memories.Load(pages)
+	if !ok {
+		p, _ = e.memories.LoadOrStore(pages, new(sync.Pool))
+	}
+	return p.(*sync.Pool)
 }
 
 func (inst *Instance) compileFunc(f *rt.FuncInst) error {
@@ -647,25 +679,49 @@ func (inst *Instance) resumeInterp(f *rt.FuncInst, vfp int) (rt.Status, error) {
 	return interp.Run(inst.Ctx, f, vfp, entry)
 }
 
-// Release returns the instance's value stack to the engine's pool so a
-// future instantiation can reuse it without re-allocating. The instance
-// must be quiescent (no call in progress) and must not be used again
-// afterwards. Calling Release is optional — an instance that is simply
-// dropped is collected normally — but serving loops that release
-// finished instances make CompiledModule.Instantiate a microsecond-scale
-// operation.
+// Release returns the instance's value stack and owned linear memory to
+// the engine's pools so a future instantiation can reuse them without
+// re-allocating or re-zeroing. The instance must be quiescent (no call
+// in progress) and must not be used again afterwards, except through
+// Reset. In particular inst.RT.Memory is invalid after Release: the
+// buffer may already belong to another instance. Calling Release is
+// optional — an instance that is simply dropped is collected normally —
+// but serving loops that release finished instances make
+// CompiledModule.Instantiate a microsecond-scale operation.
 func (inst *Instance) Release() {
 	// The latch must win before the stack is even read: concurrent
 	// releases may otherwise both observe a non-nil stack and pool it
-	// twice. Only the CAS winner touches Ctx.Stack.
+	// twice. Only the CAS winner touches Ctx.Stack and RT.Memory.
 	if inst.Ctx == nil || !inst.released.CompareAndSwap(false, true) {
 		return
 	}
+	inst.recycleMemory()
 	if inst.Ctx.Stack == nil {
 		return
 	}
 	inst.Engine.stacks.Put(inst.Ctx.Stack)
 	inst.Ctx.Stack = nil
+}
+
+// recycleMemory clears the instance's memory back to all-zero and pools
+// it, but only when the dirty bitmap provably covers every write since
+// the memory was zero. It leaves the memory to the collector when the
+// memory is imported or exported to other instances, the instance is
+// poisoned or mid-call, the memory grew or a host wrote it (MarkAll),
+// or the tracking baseline is no longer zero (an instance pool
+// re-baselined it to its snapshot).
+func (inst *Instance) recycleMemory() {
+	ri := inst.RT
+	if !ri.OwnsMemory || len(ri.Module.Memories) == 0 || inst.memShared.Load() ||
+		ri.Poisoned || inst.Ctx.Depth != 0 || len(inst.Ctx.Frames) != 0 {
+		return
+	}
+	pages := ri.Module.Memories[0].Min
+	if ri.Memory.Pages() != pages || !ri.Memory.ClearWritten() {
+		return
+	}
+	inst.Engine.memPool(pages).Put(ri.Memory)
+	ri.Memory = nil
 }
 
 // Call invokes an exported function with typed arguments.

@@ -128,7 +128,8 @@ func (l *Linker) DefineExtern(module, name string, ext rt.Extern) error {
 //
 // The exporting instance must outlive every importer, and — like all
 // instance state — shared externals are not synchronized: two instances
-// must not execute concurrently against a shared memory.
+// must not execute concurrently against a shared memory. Because
+// importers alias an exported memory, Release never recycles it.
 // DefineInstance is atomic: if any export's name collides with an
 // existing definition, nothing is registered.
 func (l *Linker) DefineInstance(namespace string, inst *Instance) error {
@@ -143,6 +144,9 @@ func (l *Linker) DefineInstance(namespace string, inst *Instance) error {
 	}
 	for _, ext := range exts {
 		l.defs[externKey{namespace, ext.name}] = ext.ext
+		if ext.ext.Kind == wasm.ExternMemory {
+			inst.memShared.Store(true)
+		}
 	}
 	return nil
 }

@@ -54,9 +54,10 @@ func (inst *Instance) Snapshot() *Snapshot {
 // not own them, and their exporter (or its own pool) is responsible for
 // their lifecycle. The execution context is cleared of any aborted-call
 // residue, and a Released instance is re-armed with a recycled value
-// stack. The value stack itself is reused dirty for the same reason
-// Release can pool it: executors never read slots they have not
-// written.
+// stack and, if Release pooled its memory, a recycled memory restored
+// from the snapshot in full. The value stack itself is reused dirty for
+// the same reason Release can pool it: executors never read slots they
+// have not written.
 //
 // Per-function tier state (lazily compiled code, call counts, attached
 // probes) is deliberately retained — a recycled instance stays warm,
@@ -83,6 +84,13 @@ func (inst *Instance) Reset(s *Snapshot) error {
 			ri.OwnsMemory, s.mem != nil)
 	}
 	if ri.OwnsMemory {
+		if ri.Memory == nil {
+			// Release recycled the memory. Take an all-zero one and
+			// declare it wholly dirty, so the restore below copies the
+			// whole snapshot.
+			ri.Memory = inst.Engine.acquireMemory(ri.Module.Memories[0])
+			ri.Memory.MarkAll()
+		}
 		// Every top-level call since the last reset proven read-only by
 		// the static analysis (MemTouched never set) means the memory
 		// still equals the snapshot — skip the restore. Grown() catches

@@ -320,8 +320,8 @@ func TestResetRejectsInFlightCall(t *testing.T) {
 
 // TestDoubleReleaseDoesNotDuplicateStacks is the regression test for
 // the double-release guard: without it, releasing twice pushes the same
-// value stack into the engine pool twice, and two later instances
-// share one stack.
+// value stack and linear memory into the engine pools twice, and two
+// later instances share one stack or one memory.
 func TestDoubleReleaseDoesNotDuplicateStacks(t *testing.T) {
 	e := engine.New(engines.WizardSPC(), nil)
 	cm, err := e.Compile(counterModule())
@@ -332,10 +332,10 @@ func TestDoubleReleaseDoesNotDuplicateStacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := inst.Ctx.Stack
+	stack, mem := inst.Ctx.Stack, inst.RT.Memory
 	inst.Release()
-	inst.Ctx.Stack = stack // simulate a stale caller holding on
-	inst.Release()         // must be latched, not re-pooled
+	inst.Ctx.Stack, inst.RT.Memory = stack, mem // simulate a stale caller holding on
+	inst.Release()                              // must be latched, not re-pooled
 
 	a, err := cm.Instantiate()
 	if err != nil {
@@ -347,6 +347,9 @@ func TestDoubleReleaseDoesNotDuplicateStacks(t *testing.T) {
 	}
 	if a.Ctx.Stack == b.Ctx.Stack {
 		t.Fatal("double release leaked one stack into two instances")
+	}
+	if &a.RT.Memory.Data[0] == &b.RT.Memory.Data[0] {
+		t.Fatal("double release leaked one memory into two instances")
 	}
 }
 

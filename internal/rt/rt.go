@@ -218,18 +218,27 @@ type Memory struct {
 	dirty      []uint64
 	dirtyCount int
 	grown      bool
+	// zeroBase records that the tracking baseline is all-zero
+	// (TrackFromZero), which is what licenses ClearWritten. Any other
+	// baseline (EnableWriteTracking, ResetTo) clears it.
+	zeroBase bool
 }
 
 // NewMemory allocates a memory from limits.
 func NewMemory(lim wasm.Limits) *Memory {
-	maxPages := uint32(wasm.MaxPages)
-	if lim.HasMax && lim.Max < maxPages {
-		maxPages = lim.Max
-	}
 	return &Memory{
 		Data:     make([]byte, int(lim.Min)*wasm.PageSize),
-		MaxPages: maxPages,
+		MaxPages: PageCap(lim),
 	}
+}
+
+// PageCap is the growth cap a memory with limits lim gets: the declared
+// maximum, or the index-space ceiling when none was declared.
+func PageCap(lim wasm.Limits) uint32 {
+	if lim.HasMax && lim.Max < wasm.MaxPages {
+		return lim.Max
+	}
+	return wasm.MaxPages
 }
 
 // Pages returns the current size in pages.
@@ -289,6 +298,22 @@ func (m *Memory) EnableWriteTracking() {
 	m.dirty = make([]uint64, bitmapWords(len(m.Data)))
 	m.dirtyCount = 0
 	m.grown = false
+	m.zeroBase = false
+}
+
+// TrackFromZero starts write tracking on a memory whose contents are
+// all-zero and records that baseline, so ClearWritten can later return
+// the memory to all-zero by clearing only what was written. A bitmap
+// of the right size (one ClearWritten left behind) is reused.
+func (m *Memory) TrackFromZero() {
+	if words := bitmapWords(len(m.Data)); len(m.dirty) == words {
+		clear(m.dirty)
+	} else {
+		m.dirty = make([]uint64, words)
+	}
+	m.dirtyCount = 0
+	m.grown = false
+	m.zeroBase = true
 }
 
 // WriteTracking reports whether the memory records writes.
@@ -360,6 +385,7 @@ const fullWipeDenominator = 2
 // the bytes copied and whether the full path ran; tracking (if enabled)
 // restarts clean against the restored baseline.
 func (m *Memory) ResetTo(snapshot []byte) (copied int, full bool) {
+	m.zeroBase = false
 	granules := (len(snapshot) + DirtyGranule - 1) >> DirtyGranuleShift
 	sparse := m.dirty != nil && !m.grown && len(m.Data) == len(snapshot) &&
 		m.dirtyCount*fullWipeDenominator < granules
@@ -398,6 +424,42 @@ func (m *Memory) ResetTo(snapshot []byte) (copied int, full bool) {
 		}
 	}
 	return copied, false
+}
+
+// ClearWritten returns a memory tracked since TrackFromZero to all-zero
+// by clearing only the granules written since, or the whole buffer past
+// the fullWipeDenominator threshold, and re-arms tracking from zero. It
+// reports false and touches nothing when the dirty bitmap cannot vouch
+// for the contents: no zero baseline, or per-granule accounting lost to
+// Grow or MarkAll.
+func (m *Memory) ClearWritten() bool {
+	if !m.zeroBase || m.grown {
+		return false
+	}
+	granules := (len(m.Data) + DirtyGranule - 1) >> DirtyGranuleShift
+	if m.dirtyCount*fullWipeDenominator >= granules {
+		clear(m.Data)
+		clear(m.dirty)
+	} else {
+		for w := 0; w < len(m.dirty) && m.dirtyCount > 0; w++ {
+			word := m.dirty[w]
+			m.dirty[w] = 0
+			for ; word != 0; word &= word - 1 {
+				start := (w<<6 + bits.TrailingZeros64(word)) << DirtyGranuleShift
+				clear(m.Data[start:min(start+DirtyGranule, len(m.Data))])
+				m.dirtyCount--
+			}
+		}
+	}
+	m.dirtyCount = 0
+	if Checked {
+		for i, b := range m.Data {
+			if b != 0 {
+				panic(fmt.Sprintf("rt: checked: byte %#x of a cleared memory is %#x: a write bypassed Mark", i, b))
+			}
+		}
+	}
+	return true
 }
 
 // Table is a funcref table. Entries are 1-based function handles

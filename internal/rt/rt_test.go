@@ -271,3 +271,61 @@ func TestResetToWithoutTracking(t *testing.T) {
 		t.Error("reset without tracking did not restore")
 	}
 }
+
+func TestClearWrittenFromZero(t *testing.T) {
+	m := NewMemory(wasm.Limits{Min: 4}) // 64 granules
+	m.TrackFromZero()
+	// Sparse: three granules, one write straddling granules 2|3.
+	for _, at := range []int{100, 3*DirtyGranule - 4} {
+		m.Mark(uint32(at), 0, 8)
+		for i := at; i < at+8; i++ {
+			m.Data[i] = 0xEE
+		}
+	}
+	if !m.ClearWritten() || m.DirtyGranules() != 0 {
+		t.Fatalf("sparse clear refused or left %d dirty granules", m.DirtyGranules())
+	}
+	// Full: half the granules dirty takes the whole-buffer path.
+	for g := 0; g < 32; g++ {
+		m.Mark(uint32(g*DirtyGranule), 0, 1)
+		m.Data[g*DirtyGranule] = 1
+	}
+	if !m.ClearWritten() {
+		t.Fatal("full clear refused")
+	}
+	for i, b := range m.Data {
+		if b != 0 {
+			t.Fatalf("byte %d = %#x after clear", i, b)
+		}
+	}
+}
+
+func TestClearWrittenRefusesWithoutZeroBaseline(t *testing.T) {
+	cases := map[string]func(m *Memory){
+		"untracked": func(m *Memory) {},
+		"grown": func(m *Memory) {
+			m.TrackFromZero()
+			m.Grow(1)
+		},
+		"mark-all": func(m *Memory) {
+			m.TrackFromZero()
+			m.MarkAll()
+		},
+		"re-baselined": func(m *Memory) {
+			m.TrackFromZero()
+			m.EnableWriteTracking()
+		},
+		"reset-to-snapshot": func(m *Memory) {
+			m.TrackFromZero()
+			m.ResetTo(make([]byte, len(m.Data)))
+		},
+	}
+	for name, prepare := range cases {
+		m := NewMemory(wasm.Limits{Min: 1, Max: 2, HasMax: true})
+		prepare(m)
+		m.Data[0] = 1
+		if m.ClearWritten() || m.Data[0] != 1 {
+			t.Errorf("%s: ClearWritten cleared a memory it cannot vouch for", name)
+		}
+	}
+}
