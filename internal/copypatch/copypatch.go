@@ -1,13 +1,28 @@
 // Package copypatch implements a template-based baseline compiler in the
 // style of WasmNow / Copy&Patch (Xu & Kjolstad, OOPSLA 2021): for each
-// Wasm instruction a pre-made machine-code template is stamped out with
-// its immediates patched in. There is no abstract state beyond the stack
-// height — no register allocation decisions, no constant tracking, no
-// snapshots — which is why this is the fastest compile pipeline in
-// Figure 8. The price is code quality: every operand round-trips through
-// its value-stack slot, so execution lands between the register
-// allocating baselines and the interpreters (Figures 7 and 10). Because
-// the frame is always canonical, calls need no spill code at all.
+// Wasm instruction a pre-made machine-code template (a stencil) is
+// stamped out with its immediates patched in. There is no abstract state
+// beyond the stack height and which operands sit in registers — no
+// register allocation decisions, no constant tracking, no snapshots —
+// which is why this is the fastest compile pipeline in Figure 8.
+//
+// Copy&Patch chains its stencils with operands passed in registers, and
+// so do these templates: the top three operands stay in the fixed
+// scratch registers r0–r2, bottom first. A push takes a free register
+// and spills the bottom cached operand to its slot only when all three
+// are taken; a pop takes a cached register, or loads from the slot when
+// nothing is cached. Numeric templates select the typed MachCode op
+// through the op-form tables shared with the single-pass compiler.
+//
+// The cache is flushed to the value-stack slots before every call,
+// block, loop, if, else, end, branch, return, memory.grow, memory.copy
+// and memory.fill (a branch condition or table index is popped first),
+// and dropped after unreachable. So the frame is canonical at every
+// call, label, OSR entry and deopt checkpoint, and calls need no spill
+// code beyond the flush. The price is code quality: locals, deeper
+// operands and every value crossing a control-flow boundary round-trip
+// through memory, so execution lands between the register-allocating
+// baselines and the interpreters (Figures 7 and 10).
 package copypatch
 
 import (
@@ -37,12 +52,9 @@ func (t Tier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	return Compile(m, fidx, decl, info)
 }
 
-// Fixed template registers (scratch only; never live across templates).
-const (
-	r0 = 0
-	r1 = 1
-	r2 = 2
-)
+// numCached is the number of top-of-stack operands kept in registers;
+// the cache uses exactly the scratch registers r0..numCached-1.
+const numCached = 3
 
 type ctrl struct {
 	op          wasm.Opcode
@@ -64,6 +76,13 @@ type tc struct {
 	nLocals int
 	osr     map[int]int
 	r       *wasm.Reader
+	// cache lists the registers holding the top len(cache) operands,
+	// bottom first; their slots are stale until flushed.
+	cache    []int32
+	cacheBuf [numCached]int32
+	// held marks registers holding operands the current template has
+	// popped but not yet consumed.
+	held uint8
 }
 
 func (t *tc) slot(pos int) int { return t.nLocals + pos }
@@ -76,6 +95,7 @@ func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncIn
 		osr:     make(map[int]int),
 		r:       wasm.NewReader(decl.Body),
 	}
+	t.cache = t.cacheBuf[:0]
 	ft := m.Types[decl.TypeIdx]
 
 	// Prologue template: zero declared locals.
@@ -94,6 +114,7 @@ func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncIn
 			return nil, fmt.Errorf("copypatch: code after function end")
 		}
 		t.asm.SetWasmPC(pc)
+		t.held = 0
 		if err := t.instr(op, pc); err != nil {
 			return nil, err
 		}
@@ -110,6 +131,65 @@ func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncIn
 	code.NumParams = len(ft.Params)
 	code.LocalTypes = info.LocalTypes
 	return code, nil
+}
+
+// free returns a register holding no operand, spilling the bottom cached
+// operand to its slot when all of them are taken.
+func (t *tc) free() int32 {
+	used := t.held
+	for _, r := range t.cache {
+		used |= 1 << r
+	}
+	for r := int32(0); r < numCached; r++ {
+		if used&(1<<r) == 0 {
+			return r
+		}
+	}
+	r := t.cache[0]
+	t.emit(mach.Instr{Op: mach.OStoreSlot, B: r, Imm: uint64(t.slot(t.h - len(t.cache)))})
+	t.cache = t.cache[:copy(t.cache, t.cache[1:])]
+	return r
+}
+
+// pop takes the top operand into a register: its cached register, or a
+// load from its slot when nothing is cached. The register stays held
+// until the current template ends.
+func (t *tc) pop() int32 {
+	t.h--
+	var r int32
+	if n := len(t.cache); n > 0 {
+		r = t.cache[n-1]
+		t.cache = t.cache[:n-1]
+	} else {
+		r = t.free()
+		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r, Imm: uint64(t.slot(t.h))})
+	}
+	t.held |= 1 << r
+	return r
+}
+
+// push makes register r, which holds a new value, the top operand.
+func (t *tc) push(r int32) {
+	t.cache = append(t.cache, r)
+	t.held &^= 1 << r
+	t.h++
+}
+
+// pushNew emits in with a free destination register and pushes it.
+func (t *tc) pushNew(in mach.Instr) {
+	in.A = t.free()
+	t.emit(in)
+	t.push(in.A)
+}
+
+// flush stores the cached operands to their slots, making the frame
+// canonical.
+func (t *tc) flush() {
+	base := t.h - len(t.cache)
+	for i, r := range t.cache {
+		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r, Imm: uint64(t.slot(base + i))})
+	}
+	t.cache = t.cache[:0]
 }
 
 func (t *tc) blockArity() (nIn, nOut int, err error) {
@@ -129,15 +209,25 @@ func (t *tc) blockArity() (nIn, nOut int, err error) {
 
 func (t *tc) emit(in mach.Instr) { t.asm.Emit(in) }
 
-// transfer moves the top val operand slots down to dest positions.
-func (t *tc) transfer(destHeight, val int) {
-	srcBase := t.h - val
-	if srcBase == destHeight {
+// transfer moves the top val operands to the slots from dest on, for a
+// control edge that leaves the cache empty. Operands left below them
+// are dead on that edge: they belong to the block being left.
+func (t *tc) transfer(dest, val int) {
+	if n := len(t.cache); val <= n {
+		for i, r := range t.cache[n-val:] {
+			t.emit(mach.Instr{Op: mach.OStoreSlot, B: r, Imm: uint64(dest + i)})
+		}
+		t.cache = t.cache[:0]
+		return
+	}
+	t.flush()
+	src := t.slot(t.h - val)
+	if src == dest {
 		return
 	}
 	for i := 0; i < val; i++ {
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(srcBase + i))})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(destHeight + i))})
+		t.emit(mach.Instr{Op: mach.OLoadSlot, A: 0, Imm: uint64(src + i)})
+		t.emit(mach.Instr{Op: mach.OStoreSlot, B: 0, Imm: uint64(dest + i)})
 	}
 }
 
@@ -150,17 +240,23 @@ func (t *tc) branchVals(fr *ctrl) int {
 	return fr.nOut
 }
 
+// epilogue moves the results to the frame base and returns.
 func (t *tc) epilogue() {
-	nres := len(t.info.Results)
-	for i := 0; i < nres; i++ {
-		src := t.slot(t.h - nres + i)
-		if src == i {
-			continue
-		}
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(src)})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(i)})
-	}
+	t.transfer(0, len(t.info.Results))
 	t.emit(mach.Instr{Op: mach.OReturn})
+}
+
+// endFunction closes the function body: the fall-through path returns
+// directly, and branches to the function label return from slots.
+func (t *tc) endFunction(fr ctrl) {
+	if !fr.unreachable {
+		t.epilogue()
+	}
+	if t.asm.Referenced(fr.label) {
+		t.asm.Bind(fr.label)
+		t.h = fr.nOut
+		t.epilogue()
+	}
 }
 
 func (t *tc) instr(op wasm.Opcode, pc int) error {
@@ -171,6 +267,7 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 	switch op {
 	case wasm.OpUnreachable:
 		t.emit(mach.Instr{Op: mach.OTrap, A: int32(rt.TrapUnreachable), Imm: uint64(pc)})
+		t.cache = t.cache[:0]
 		fr.unreachable = true
 	case wasm.OpNop:
 	case wasm.OpBlock:
@@ -178,6 +275,7 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if err != nil {
 			return err
 		}
+		t.flush()
 		t.ctrls = append(t.ctrls, ctrl{op: wasm.OpBlock, label: t.asm.NewLabel(),
 			elseLabel: -1, height: t.h - nIn, nIn: nIn, nOut: nOut})
 	case wasm.OpLoop:
@@ -185,6 +283,7 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if err != nil {
 			return err
 		}
+		t.flush()
 		bodyPC := t.r.Pos
 		trips := t.info.Facts.TripsAt(bodyPC)
 		if trips > 0 {
@@ -211,34 +310,31 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if err != nil {
 			return err
 		}
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
+		cond := t.pop()
+		t.flush()
 		fr := ctrl{op: wasm.OpIf, label: t.asm.NewLabel(), elseLabel: t.asm.NewLabel(),
 			height: t.h - nIn, nIn: nIn, nOut: nOut}
-		t.asm.EmitBranch(mach.Instr{Op: mach.OBrIfZero, B: r0}, fr.elseLabel)
+		t.asm.EmitBranch(mach.Instr{Op: mach.OBrIfZero, B: cond}, fr.elseLabel)
 		t.ctrls = append(t.ctrls, fr)
 	case wasm.OpElse:
 		fr.hasElse = true
-		t.transfer(fr.height, fr.nOut)
+		t.transfer(t.slot(fr.height), fr.nOut)
 		t.asm.EmitBranch(mach.Instr{Op: mach.OJump}, fr.label)
 		t.asm.Bind(fr.elseLabel)
 		t.h = fr.height + fr.nIn
 	case wasm.OpEnd:
 		frv := *fr
 		t.ctrls = t.ctrls[:len(t.ctrls)-1]
-		if !frv.unreachable {
-			t.transfer(frv.height, t.branchEndVals(&frv))
+		if len(t.ctrls) == 0 {
+			t.endFunction(frv)
+			return nil
 		}
-		if frv.op == wasm.OpIf && !frv.hasElse && frv.elseLabel >= 0 {
+		t.transfer(t.slot(frv.height), frv.nOut)
+		if frv.op == wasm.OpIf && !frv.hasElse {
 			t.asm.Bind(frv.elseLabel)
 		}
-		if frv.op != wasm.OpLoop && frv.label >= 0 {
+		if frv.op != wasm.OpLoop {
 			t.asm.Bind(frv.label)
-		}
-		if len(t.ctrls) == 0 {
-			t.h = frv.height + frv.nOut
-			t.epilogue()
-			return nil
 		}
 		t.h = frv.height + frv.nOut
 	case wasm.OpBr:
@@ -246,25 +342,29 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if err != nil {
 			return err
 		}
-		target := t.frameAt(d)
-		t.transfer(target.height, t.branchVals(target))
-		t.asm.EmitBranch(mach.Instr{Op: mach.OJump}, target.label)
+		if int(d) == len(t.ctrls)-1 {
+			t.epilogue() // a branch to the function label returns
+		} else {
+			target := t.frameAt(d)
+			t.transfer(t.slot(target.height), t.branchVals(target))
+			t.asm.EmitBranch(mach.Instr{Op: mach.OJump}, target.label)
+		}
 		fr.unreachable = true
 	case wasm.OpBrIf:
 		d, err := t.r.U32()
 		if err != nil {
 			return err
 		}
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
+		cond := t.pop()
+		t.flush()
 		target := t.frameAt(d)
 		vals := t.branchVals(target)
 		if t.h-vals == target.height {
-			t.asm.EmitBranch(mach.Instr{Op: mach.OBrIfNonZero, B: r0}, target.label)
+			t.asm.EmitBranch(mach.Instr{Op: mach.OBrIfNonZero, B: cond}, target.label)
 		} else {
 			skip := t.asm.NewLabel()
-			t.asm.EmitBranch(mach.Instr{Op: mach.OBrIfZero, B: r0}, skip)
-			t.transfer(target.height, vals)
+			t.asm.EmitBranch(mach.Instr{Op: mach.OBrIfZero, B: cond}, skip)
+			t.transfer(t.slot(target.height), vals)
 			t.asm.EmitBranch(mach.Instr{Op: mach.OJump}, target.label)
 			t.asm.Bind(skip)
 		}
@@ -279,8 +379,8 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 				return err
 			}
 		}
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
+		idx := t.pop()
+		t.flush()
 		labels := make([]int, len(depths))
 		type tramp struct {
 			label int
@@ -299,11 +399,11 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 			}
 		}
 		tidx := t.asm.NewTable(labels)
-		t.emit(mach.Instr{Op: mach.OBrTable, A: int32(tidx), B: r0})
+		t.emit(mach.Instr{Op: mach.OBrTable, A: int32(tidx), B: idx})
 		for _, tr := range tramps {
 			t.asm.Bind(tr.label)
 			target := t.frameAt(tr.depth)
-			t.transfer(target.height, t.branchVals(target))
+			t.transfer(t.slot(target.height), t.branchVals(target))
 			t.asm.EmitBranch(mach.Instr{Op: mach.OJump}, target.label)
 		}
 		fr.unreachable = true
@@ -319,6 +419,7 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if err != nil {
 			return err
 		}
+		t.flush()
 		argBase := t.nLocals + t.h - len(ft.Params)
 		t.emit(mach.Instr{Op: mach.OCall, A: int32(fidx), B: int32(argBase)})
 		t.h += len(ft.Results) - len(ft.Params)
@@ -332,12 +433,15 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 			return err
 		}
 		ft := t.m.Types[typeIdx]
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r2, Imm: uint64(t.slot(t.h))})
+		elem := t.pop()
+		t.flush()
 		argBase := t.nLocals + t.h - len(ft.Params)
-		t.emit(mach.Instr{Op: mach.OCallIndirect, A: int32(typeIdx), B: int32(argBase), C: r2, Imm: uint64(tblIdx)})
+		t.emit(mach.Instr{Op: mach.OCallIndirect, A: int32(typeIdx), B: int32(argBase), C: elem, Imm: uint64(tblIdx)})
 		t.h += len(ft.Results) - len(ft.Params)
 	case wasm.OpDrop:
+		if n := len(t.cache); n > 0 {
+			t.cache = t.cache[:n-1]
+		}
 		t.h--
 	case wasm.OpSelect:
 		t.selectTemplate()
@@ -355,41 +459,34 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if err != nil {
 			return err
 		}
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(idx)})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h))})
-		t.h++
+		t.pushNew(mach.Instr{Op: mach.OLoadSlot, Imm: uint64(idx)})
 	case wasm.OpLocalSet:
 		idx, err := t.r.U32()
 		if err != nil {
 			return err
 		}
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(idx)})
+		t.emit(mach.Instr{Op: mach.OStoreSlot, B: t.pop(), Imm: uint64(idx)})
 	case wasm.OpLocalTee:
 		idx, err := t.r.U32()
 		if err != nil {
 			return err
 		}
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(idx)})
+		v := t.pop()
+		t.emit(mach.Instr{Op: mach.OStoreSlot, B: v, Imm: uint64(idx)})
+		t.push(v)
 	case wasm.OpGlobalGet:
 		idx, err := t.r.U32()
 		if err != nil {
 			return err
 		}
-		t.emit(mach.Instr{Op: mach.OGlobalGet, A: r0, Imm: uint64(idx)})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h))})
-		t.h++
+		t.pushNew(mach.Instr{Op: mach.OGlobalGet, Imm: uint64(idx)})
 	case wasm.OpGlobalSet:
 		idx, err := t.r.U32()
 		if err != nil {
 			return err
 		}
 		gt, _, _ := t.m.GlobalTypeAt(idx)
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OGlobalSet, B: r0, C: int32(wasm.TagOf(gt)), Imm: uint64(idx)})
+		t.emit(mach.Instr{Op: mach.OGlobalSet, B: t.pop(), C: int32(wasm.TagOf(gt)), Imm: uint64(idx)})
 	case wasm.OpI32Const:
 		v, err := t.r.S32()
 		if err != nil {
@@ -418,43 +515,34 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if _, err := t.r.Byte(); err != nil {
 			return err
 		}
-		t.emit(mach.Instr{Op: mach.OMemSize, A: r0})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h))})
-		t.h++
+		t.pushNew(mach.Instr{Op: mach.OMemSize})
 	case wasm.OpMemoryGrow:
 		if _, err := t.r.Byte(); err != nil {
 			return err
 		}
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-		t.emit(mach.Instr{Op: mach.OMemGrow, A: r0, B: r0})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
+		delta := t.pop()
+		t.flush()
+		t.emit(mach.Instr{Op: mach.OMemGrow, A: delta, B: delta})
+		t.push(delta)
 	case wasm.OpMemoryCopy:
 		if _, err := t.r.Take(2); err != nil {
 			return err
 		}
-		t.h -= 3
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h + 1))})
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r2, Imm: uint64(t.slot(t.h + 2))})
-		t.emit(mach.Instr{Op: mach.OMemCopy, A: r0, B: r1, C: r2})
+		t.bulkTemplate(mach.OMemCopy)
 	case wasm.OpMemoryFill:
 		if _, err := t.r.Byte(); err != nil {
 			return err
 		}
-		t.h -= 3
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h + 1))})
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r2, Imm: uint64(t.slot(t.h + 2))})
-		t.emit(mach.Instr{Op: mach.OMemFill, A: r0, B: r1, C: r2})
+		t.bulkTemplate(mach.OMemFill)
 	case wasm.OpRefNull:
 		if _, err := t.r.Byte(); err != nil {
 			return err
 		}
 		t.pushConst(wasm.NullRef)
 	case wasm.OpRefIsNull:
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-		t.emit(mach.Instr{Op: mach.OI64Eqz, A: r0, B: r0})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
+		v := t.pop()
+		t.emit(mach.Instr{Op: mach.OI64Eqz, A: v, B: v})
+		t.push(v)
 	case wasm.OpRefFunc:
 		fidx, err := t.r.U32()
 		if err != nil {
@@ -467,27 +555,33 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 	return nil
 }
 
-func (t *tc) branchEndVals(fr *ctrl) int { return fr.nOut }
-
 func (t *tc) pushConst(bits uint64) {
-	t.emit(mach.Instr{Op: mach.OStoreSlotConst, A: int32(t.slot(t.h)), Imm: bits})
-	t.h++
+	t.pushNew(mach.Instr{Op: mach.OConst, Imm: bits})
+}
+
+// bulkTemplate emits memory.copy or memory.fill: destination, source
+// (or fill byte) and length.
+func (t *tc) bulkTemplate(mop mach.Op) {
+	n := t.pop()
+	src := t.pop()
+	dst := t.pop()
+	t.flush()
+	t.emit(mach.Instr{Op: mop, A: dst, B: src, C: n})
 }
 
 func (t *tc) selectTemplate() {
-	t.h -= 2
-	t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))}) // true value
-	t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h))})     // false value
-	t.emit(mach.Instr{Op: mach.OLoadSlot, A: r2, Imm: uint64(t.slot(t.h + 1))}) // condition
-	t.emit(mach.Instr{Op: mach.OSelect, A: r0, B: r1, C: r2})
-	t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
+	cond := t.pop()
+	f := t.pop()
+	v := t.pop() // the true value, kept unless cond is zero
+	t.emit(mach.Instr{Op: mach.OSelect, A: v, B: f, C: cond})
+	t.push(v)
 }
 
-// numericTemplate stamps out loads/stores around the arithmetic body.
-// pc is the wasm offset of op, used to look up analysis facts.
+// numericTemplate stamps out the typed op for a load, store or numeric
+// instruction, or the generic OGen1/OGen2 for opcodes with no typed
+// form. pc is the wasm offset of op, used to look up analysis facts.
 func (t *tc) numericTemplate(op wasm.Opcode, pc int) error {
-	switch op.Imm() {
-	case wasm.ImmMem:
+	if op.Imm() == wasm.ImmMem {
 		if _, err := t.r.U32(); err != nil {
 			return err
 		}
@@ -496,23 +590,21 @@ func (t *tc) numericTemplate(op wasm.Opcode, pc int) error {
 			return err
 		}
 		nc := t.info.Facts.InBoundsAt(pc)
-		if mop, ok := loadTemplate(op); ok {
+		if mop, _ := mach.LoadForm(op); mop != 0 {
 			if nc {
 				mop = mach.Unchecked(mop)
 			}
-			t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-			t.emit(mach.Instr{Op: mop, A: r0, B: r0, Imm: uint64(off)})
-			t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
+			addr := t.pop()
+			t.emit(mach.Instr{Op: mop, A: addr, B: addr, Imm: uint64(off)})
+			t.push(addr)
 			return nil
 		}
-		mop := storeTemplate(op)
+		mop := mach.StoreForm(op)
 		if nc {
 			mop = mach.Unchecked(mop)
 		}
-		t.h -= 2
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h + 1))})
-		t.emit(mach.Instr{Op: mop, B: r0, C: r1, Imm: uint64(off)})
+		v := t.pop()
+		t.emit(mach.Instr{Op: mop, B: t.pop(), C: v, Imm: uint64(off)})
 		return nil
 	}
 	params, _, ok := op.Sig()
@@ -521,15 +613,22 @@ func (t *tc) numericTemplate(op wasm.Opcode, pc int) error {
 	}
 	switch len(params) {
 	case 1:
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-		t.emit(mach.Instr{Op: mach.OGen1, A: r0, B: r0, Imm: uint64(op)})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
+		v := t.pop()
+		in := mach.Instr{Op: mach.OGen1, A: v, B: v, Imm: uint64(op)}
+		if mop, ok := mach.UnForm(op); ok {
+			in = mach.Instr{Op: mop, A: v, B: v}
+		}
+		t.emit(in)
+		t.push(v)
 	case 2:
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OGen2, A: r0, B: r0, C: r1, Imm: uint64(op)})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
+		b := t.pop()
+		a := t.pop()
+		in := mach.Instr{Op: mach.OGen2, A: a, B: a, C: b, Imm: uint64(op)}
+		if mop, ok := mach.RegForm(op); ok {
+			in = mach.Instr{Op: mop, A: a, B: a, C: b}
+		}
+		t.emit(in)
+		t.push(a)
 	default:
 		return fmt.Errorf("copypatch: unexpected arity for %v", op)
 	}
@@ -558,17 +657,17 @@ func (t *tc) skip(op wasm.Opcode) error {
 		if fr.wasDead {
 			return nil
 		}
-		if fr.op == wasm.OpIf && !fr.hasElse && fr.elseLabel >= 0 {
+		if len(t.ctrls) == 0 {
+			t.endFunction(fr)
+			return nil
+		}
+		if fr.op == wasm.OpIf && !fr.hasElse {
 			t.asm.Bind(fr.elseLabel)
 		}
-		if fr.op != wasm.OpLoop && fr.label >= 0 {
+		if fr.op != wasm.OpLoop {
 			t.asm.Bind(fr.label)
 		}
 		t.h = fr.height + fr.nOut
-		if len(t.ctrls) == 0 {
-			t.epilogue()
-			return nil
-		}
 		// The merge is reachable via branches or the if false edge.
 		if fr.op != wasm.OpLoop {
 			t.ctrls[len(t.ctrls)-1].unreachable = false
@@ -577,47 +676,4 @@ func (t *tc) skip(op wasm.Opcode) error {
 		return t.r.SkipImm(op)
 	}
 	return nil
-}
-
-func loadTemplate(op wasm.Opcode) (mach.Op, bool) {
-	switch op {
-	case wasm.OpI32Load, wasm.OpF32Load:
-		return mach.OLd32, true
-	case wasm.OpI64Load, wasm.OpF64Load:
-		return mach.OLd64, true
-	case wasm.OpI32Load8S:
-		return mach.OLd8S32, true
-	case wasm.OpI32Load8U:
-		return mach.OLd8U32, true
-	case wasm.OpI32Load16S:
-		return mach.OLd16S32, true
-	case wasm.OpI32Load16U:
-		return mach.OLd16U32, true
-	case wasm.OpI64Load8S:
-		return mach.OLd8S64, true
-	case wasm.OpI64Load8U:
-		return mach.OLd8U64, true
-	case wasm.OpI64Load16S:
-		return mach.OLd16S64, true
-	case wasm.OpI64Load16U:
-		return mach.OLd16U64, true
-	case wasm.OpI64Load32S:
-		return mach.OLd32S64, true
-	case wasm.OpI64Load32U:
-		return mach.OLd32U64, true
-	}
-	return 0, false
-}
-
-func storeTemplate(op wasm.Opcode) mach.Op {
-	switch op {
-	case wasm.OpI32Store8, wasm.OpI64Store8:
-		return mach.OSt8
-	case wasm.OpI32Store16, wasm.OpI64Store16:
-		return mach.OSt16
-	case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
-		return mach.OSt32
-	default:
-		return mach.OSt64
-	}
 }

@@ -1,4 +1,4 @@
-// Package difftest is the differential testing engine for the four
+// Package difftest is the differential testing engine for the
 // execution tiers: a structure-aware module generator (gen.go), a
 // cross-execution oracle that runs each module through every
 // engines.Catalog() configuration crossed with the static analysis on
@@ -7,12 +7,13 @@
 //
 // The repo's unique asset is four executors — in-place interpreter,
 // rewriting interpreter, single-pass compiler, and the tiered pipeline
-// that transitions between them — for one Wasm semantics, plus an
-// analysis on/off axis that licenses check elision in every tier. Any
-// observable difference between two cells of that matrix is a bug by
-// construction, which makes random differential testing the
-// highest-leverage correctness tool the repo has: no hand-written
-// expectations, just agreement.
+// that transitions between them — for one Wasm semantics, a second code
+// generator (the copy-and-patch templates) for the machine-code
+// executor, and an analysis on/off axis that licenses check elision in
+// every tier. Any observable difference between two cells of that
+// matrix is a bug by construction, which makes random differential
+// testing the highest-leverage correctness tool the repo has: no
+// hand-written expectations, just agreement.
 //
 // An execution's observable behavior is canonicalized into an Outcome:
 // per-call results (with NaN payloads canonicalized, since Wasm permits
@@ -170,12 +171,16 @@ type Oracle struct {
 	Fuel int64
 }
 
-// NewOracle builds the oracle over engines.DifferentialMatrix(). The
-// value stacks are sized down from the engine default: generated
-// functions are small and the matrix holds one stack per configuration.
-func NewOracle() *Oracle {
+// NewOracle builds the oracle over engines.DifferentialMatrix().
+func NewOracle() *Oracle { return NewOracleOver(engines.DifferentialMatrix()) }
+
+// NewOracleOver builds the oracle over the given configurations; the
+// first is the reference the others are compared against. The value
+// stacks are sized down from the engine default: generated functions
+// are small and the oracle holds one stack per configuration.
+func NewOracleOver(cfgs []engine.Config) *Oracle {
 	o := &Oracle{Deadline: 2 * time.Second}
-	for _, cfg := range engines.DifferentialMatrix() {
+	for _, cfg := range cfgs {
 		cfg.StackSlots = 1 << 16
 		o.cfgs = append(o.cfgs, cfg)
 		o.engines = append(o.engines, engine.New(cfg, nil))

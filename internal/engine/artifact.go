@@ -25,7 +25,7 @@ import (
 // executing under wrong assumptions. The analysis version is folded in
 // because serialized facts license check elision: an artifact produced
 // under different analysis rules must self-invalidate.
-const CompilerRevision = "wizgo-codegen-4+analysis-" + analysis.Version
+const CompilerRevision = "wizgo-codegen-5+analysis-" + analysis.Version
 
 // DiskStamp returns the producer identity for this build: the host ISA
 // (MachCode is portable, but a real JIT cache is ISA-keyed, and keeping

@@ -25,8 +25,8 @@ func (t RewriterTier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 
 // IRTier models wazero's pipeline: build an intermediate representation
 // of the whole function first (a real extra pass with real allocations),
-// then generate code from templates with plain single-register
-// allocation and no constant tracking — feature set "R" in Figure 3.
+// then generate code from the copy-and-patch templates, with no
+// constant tracking — feature set "R" in Figure 3.
 // The two-pass structure is why wazero is the slowest baseline compiler
 // in Figure 8.
 type IRTier struct{ TierName string }

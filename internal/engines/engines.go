@@ -32,16 +32,19 @@ func (t SPCTier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 // Catalog returns one representative configuration per executor family
 // — the in-place interpreter, the single-pass compiler (machine-code
 // executor), the rewriting interpreter, and the tiered pipeline that
-// transitions between them. Cross-cutting engine behavior (linking,
-// import resolution, interruption) is tested across exactly this set,
-// because each family has its own execution loop and therefore its own
-// copy of every cross-cutting check.
+// transitions between them — plus the template compiler, the second
+// code generator feeding the machine-code executor. Cross-cutting engine
+// behavior (linking, import resolution, interruption) is tested across
+// exactly this set, because each family has its own execution loop and
+// therefore its own copy of every cross-cutting check, and each code
+// generator its own frame discipline at calls and checkpoints.
 func Catalog() []engine.Config {
 	return []engine.Config{
 		WizardINT(),
 		WizardSPC(),
 		Wasm3Like(),
 		WizardTiered(50),
+		WasmNowLike(),
 	}
 }
 

@@ -66,6 +66,12 @@ func (a *Asm) Bind(label int) {
 // before their branches; forward labels after).
 func (a *Asm) Bound(label int) bool { return a.labels[label] != -1 }
 
+// Referenced reports whether a branch or br_table entry is waiting for
+// the unbound label.
+func (a *Asm) Referenced(label int) bool {
+	return len(a.fixups[label]) > 0 || len(a.tableFixups[label]) > 0
+}
+
 // Target returns the pc of a bound label.
 func (a *Asm) Target(label int) int { return a.labels[label] }
 

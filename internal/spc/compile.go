@@ -294,18 +294,18 @@ func (c *compiler) matPending() {
 		rimm := c.alloc()
 		c.asm.Emit(mach.Instr{Op: mach.OConst, A: int32(rimm), Imm: p.imm})
 		rd = c.alloc()
-		mop, _ := regForm(p.op)
+		mop, _ := mach.RegForm(p.op)
 		c.asm.Emit(mach.Instr{Op: mop, A: int32(rd), B: int32(p.rb), C: int32(rimm)})
 		c.st.regs.release(rimm)
 		c.st.regs.release(p.rb)
 	} else if p.op == wasm.OpI32Eqz || p.op == wasm.OpI64Eqz {
 		rd = c.alloc()
-		mop, _ := unForm(p.op)
+		mop, _ := mach.UnForm(p.op)
 		c.asm.Emit(mach.Instr{Op: mop, A: int32(rd), B: int32(p.rb)})
 		c.st.regs.release(p.rb)
 	} else {
 		rd = c.alloc()
-		mop, _ := regForm(p.op)
+		mop, _ := mach.RegForm(p.op)
 		c.asm.Emit(mach.Instr{Op: mop, A: int32(rd), B: int32(p.rb), C: int32(p.rc)})
 		c.st.regs.release(p.rb)
 		c.st.regs.release(p.rc)

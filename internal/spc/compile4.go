@@ -34,14 +34,14 @@ func (c *compiler) compileNumericOrMem(op wasm.Opcode) error {
 		// When the analysis proved this access in bounds, select the
 		// unchecked MachCode form. c.opPC is the wasm pc of the access.
 		nc := c.info.Facts.InBoundsAt(c.opPC)
-		if mop, resT := loadForm(op); mop != 0 {
+		if mop, resT := mach.LoadForm(op); mop != 0 {
 			if nc {
 				mop = mach.Unchecked(mop)
 			}
 			c.compileLoad(mop, resT, offset)
 			return nil
 		}
-		mop := storeForm(op)
+		mop := mach.StoreForm(op)
 		if nc {
 			mop = mach.Unchecked(mop)
 		}
@@ -114,7 +114,7 @@ func (c *compiler) compileUn(op wasm.Opcode, resT wasm.ValueType) {
 	rv := c.ensureReg(&v, vSlot)
 	rd := c.destReg(&v)
 	c.releaseAll(&v)
-	if mop, ok := unForm(op); ok {
+	if mop, ok := mach.UnForm(op); ok {
 		c.asm.Emit(mach.Instr{Op: mop, A: int32(rd), B: int32(rv)})
 	} else {
 		c.asm.Emit(mach.Instr{Op: mach.OGen1, A: int32(rd), B: int32(rv), Imm: uint64(op)})
@@ -181,7 +181,7 @@ func (c *compiler) compileBin(op wasm.Opcode, resT wasm.ValueType) {
 	rb := c.ensureReg(&b, bSlot)
 	rd := c.destReg(&a, &b)
 	c.releaseAll(&a, &b)
-	if mop, ok := regForm(op); ok {
+	if mop, ok := mach.RegForm(op); ok {
 		c.asm.Emit(mach.Instr{Op: mop, A: int32(rd), B: int32(ra), C: int32(rb)})
 	} else {
 		c.asm.Emit(mach.Instr{Op: mach.OGen2, A: int32(rd), B: int32(ra), C: int32(rb), Imm: uint64(op)})
